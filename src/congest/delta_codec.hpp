@@ -1,6 +1,6 @@
 #pragma once
 
-// Wire codec for CONGEST boundary messages (protocol v4).
+// Wire codec for CONGEST boundary messages (since protocol v4).
 //
 // A boundary message addresses a directed-edge mailbox: slot = 2 * edge +
 // dir, the same indexing BspRunner's double-buffered mailboxes use. The

@@ -33,15 +33,14 @@
 namespace deck {
 namespace {
 
-// Fault-tolerance property of the net engine (protocol v4): killing any
+// Fault-tolerance property of the net engine (protocol v5): killing any
 // worker at any protocol moment — mid-phase, at a checkpoint boundary, or
 // between quiescence and collect — leaves the algorithm output and the
 // solver-visible round/message counters bit-identical to the sequential
 // engine. Kill points are named by coordinator-side receive frame indices
-// (net/fault.hpp), so every test here is deterministic. The v4 hot path
-// (delta round frames + comm-thread pipelining) is the fleet default, so
-// every sweep below exercises it; the config-matrix sweeps additionally
-// flip delta/pipelining off to prove recovery is config-independent.
+// (net/fault.hpp), so every test here is deterministic. Round frames are
+// delta-encoded (with the per-frame fixed fallback) on every link, so every
+// sweep below exercises recovery against live link caches.
 
 struct RunRecord {
   std::vector<EdgeId> edges;
@@ -154,19 +153,13 @@ TEST(Failover, KillMidPipelineIsBitIdenticalForEveryAlgorithm) {
     const RunRecord base = run_seq(c.g, c.algo);
     for (int workers : {2, 4}) {
       for (int checkpoint_interval : {1, 8}) {
-        for (const auto& [delta, pipeline] :
-             {std::pair<bool, bool>{true, true}, {false, false}}) {
-          for (const auto& [victim, frame] : {std::pair<int, std::size_t>{0, 7},
-                                              {workers - 1, 4}}) {
-            FleetOptions o = kill_at(workers, victim, frame, checkpoint_interval);
-            o.hub.delta_frames = delta;
-            o.worker.pipeline = pipeline;
-            const auto [got, alive] = run_fleet(c.g, c.algo, workers, std::move(o));
-            EXPECT_EQ(got, base) << c.what << ": " << workers << " workers, interval "
-                                 << checkpoint_interval << ", delta " << delta << ", pipeline "
-                                 << pipeline << ", victim " << victim << " at frame " << frame;
-            EXPECT_EQ(alive, workers - 1) << c.what;
-          }
+        for (const auto& [victim, frame] : {std::pair<int, std::size_t>{0, 7}, {workers - 1, 4}}) {
+          FleetOptions o = kill_at(workers, victim, frame, checkpoint_interval);
+          const auto [got, alive] = run_fleet(c.g, c.algo, workers, std::move(o));
+          EXPECT_EQ(got, base) << c.what << ": " << workers << " workers, interval "
+                               << checkpoint_interval << ", victim " << victim << " at frame "
+                               << frame;
+          EXPECT_EQ(alive, workers - 1) << c.what;
         }
       }
     }
@@ -174,28 +167,20 @@ TEST(Failover, KillMidPipelineIsBitIdenticalForEveryAlgorithm) {
 }
 
 TEST(Failover, EveryKillPointSurvivesEveryHotPathConfig) {
-  // The v4 acceptance sweep: every coordinator-side kill frame of a phase,
-  // for each delta × pipelining combination, with checkpoints on and the
-  // workers stepping on two pool threads. Recovery replays coordinator logs
-  // as full fixed-format frames regardless of the live wire format, so the
-  // outcome must be independent of all of it.
+  // Every coordinator-side kill frame of a phase, with checkpoints on and
+  // the workers stepping on two pool threads. Recovery replays coordinator
+  // logs as fixed-format frames, whatever format the live link used, so
+  // every kill point must reproduce the sequential run.
   const Graph g = weighted_graph(24, 2, 4020);
   const auto algo = [](Network& net) { return bfs_digest(net); };
   const RunRecord base = run_seq(g, algo);
-  for (bool delta : {false, true}) {
-    for (bool pipeline : {false, true}) {
-      for (std::size_t frame = 1;; ++frame) {
-        FleetOptions o = kill_at(2, 0, frame, /*checkpoint_interval=*/2);
-        o.hub.delta_frames = delta;
-        o.worker.pipeline = pipeline;
-        o.worker.threads = 2;
-        const auto [got, alive] = run_fleet(g, algo, 2, std::move(o));
-        EXPECT_EQ(got, base) << "delta " << delta << ", pipeline " << pipeline
-                             << ", killed at frame " << frame;
-        if (alive == 2) break;  // the kill never fired: the sweep is done
-        EXPECT_EQ(alive, 1);
-      }
-    }
+  for (std::size_t frame = 1;; ++frame) {
+    FleetOptions o = kill_at(2, 0, frame, /*checkpoint_interval=*/2);
+    o.worker.threads = 2;
+    const auto [got, alive] = run_fleet(g, algo, 2, std::move(o));
+    EXPECT_EQ(got, base) << "killed at frame " << frame;
+    if (alive == 2) break;  // the kill never fired: the sweep is done
+    EXPECT_EQ(alive, 1);
   }
 }
 
@@ -766,6 +751,14 @@ TEST(WorkerProtocol, MalformedRestoreFramesAreTypedErrors) {
   net::put_u32(oversized, 1);
   net::put_u32(oversized, 1u << 20);
   EXPECT_NE(worker_rejects({square_graph_frame(), restore(1, 1, 1, 0, 4, {}, oversized)})
+                .find("replay longer than frame"),
+            std::string::npos);
+
+  // 2^32 - 1 replay rounds in a frame with room for none: rejected before
+  // any reservation (32-byte entries would ask for ~137 GB).
+  std::vector<std::uint8_t> endless;
+  net::put_u32(endless, 0xffffffffu);
+  EXPECT_NE(worker_rejects({square_graph_frame(), restore(1, 1, 1, 0, 4, {}, endless)})
                 .find("replay longer than frame"),
             std::string::npos);
 
